@@ -104,7 +104,7 @@ type bitRows struct {
 // the target exceeds graph.DenseRowLimit nodes — the sorted-slice
 // fallback rule; callers must treat nil as "use the CSR paths".
 func (ix *Index) Rows(g *graph.Graph) *graph.BitGraph {
-	if c := ix.rowCache.Load(); c != nil && c.epoch == ix.gen {
+	if c := ix.cachedRows(); c != nil {
 		return c.rows
 	}
 	bg := graph.NewBitGraph(g)
@@ -114,9 +114,9 @@ func (ix *Index) Rows(g *graph.Graph) *graph.BitGraph {
 
 // cachedRows returns the row cache if it was built for this generation,
 // without building anything.
-func (ix *Index) cachedRows() *graph.BitGraph {
+func (ix *Index) cachedRows() *bitRows {
 	if c := ix.rowCache.Load(); c != nil && c.epoch == ix.gen {
-		return c.rows
+		return c
 	}
 	return nil
 }
@@ -124,10 +124,7 @@ func (ix *Index) cachedRows() *graph.BitGraph {
 // HasRows reports whether the BitGraph row cache is built for the
 // current generation (tests and IndexEqual use it; laziness means an
 // unbuilt cache is not a difference).
-func (ix *Index) HasRows() bool {
-	c := ix.rowCache.Load()
-	return c != nil && c.epoch == ix.gen
-}
+func (ix *Index) HasRows() bool { return ix.cachedRows() != nil }
 
 // NewIndex buckets the target's nodes by label and precomputes the
 // per-node NLF signatures, choosing the representation automatically
@@ -311,8 +308,8 @@ type Options struct {
 	// propagation hot paths (classic AC support scans and the induced
 	// non-edge pass): KernelBitset rewires them onto dense BitGraph
 	// rows (cached on Index when one is supplied), KernelSlice keeps
-	// the CSR scans, KernelAuto resolves by target size. Results are
-	// identical for every kernel.
+	// the CSR scans, KernelAuto resolves by target size and row density
+	// (ResolveKernel). Results are identical for every kernel.
 	Kernel Kernel
 	// Semantics adjusts the filters to the matching semantics: under
 	// graph.Homomorphism the degree bounds are dropped (several pattern
@@ -478,23 +475,14 @@ func ComputeWithStats(gp, gt *graph.Graph, opts Options) (*Domains, ComputeStats
 	stats.UnaryTime = time.Since(unaryStart)
 	stats.AfterUnary = d.TotalSize()
 
-	// Resolve the kernel and materialize the BitGraph rows the
-	// propagation passes (and, via stats.Rows, the engines) run on.
-	// With an Index the rows are cached across queries; without one
-	// they are built here only when arc consistency will actually use
-	// them.
-	var rows *graph.BitGraph
-	if ResolveKernel(opts.Kernel, nt) == KernelBitset {
-		if ix != nil {
-			rows = ix.Rows(gt)
-		} else if !opts.SkipAC {
-			rows = graph.NewBitGraph(gt)
-		}
+	// The BitGraph rows the propagation passes (and, via stats.Rows, the
+	// engines) run on: cached on an Index, built here without one only
+	// when arc consistency will use them.
+	if ix != nil || !opts.SkipAC {
+		stats.Rows = RowsFor(opts.Kernel, ix, gt)
 	}
-	stats.Rows = rows
-
 	if !opts.SkipAC {
-		d.arcConsistency(gp, gt, rows, opts.ACPasses, stats.Plan.ACAdaptive, induced && !opts.SkipInducedAC, &stats)
+		d.arcConsistency(gp, gt, stats.Rows, opts.ACPasses, stats.Plan.ACAdaptive, induced && !opts.SkipInducedAC, &stats)
 	}
 	stats.Final = d.TotalSize()
 	if lp, empty := d.LogProduct(); !empty {

@@ -9,13 +9,12 @@ import "parsge/internal/graph"
 type Kernel int
 
 const (
-	// KernelAuto picks per query: bitset rows whenever the target fits
-	// graph.DenseRowLimit, the slice paths otherwise.
+	// KernelAuto picks per target by size and row density (see
+	// ResolveKernel).
 	KernelAuto Kernel = iota
-	// KernelBitset forces the bitset rows. Above graph.DenseRowLimit
-	// rows cannot be built and the engines silently fall back to the
-	// slice paths (the documented fallback rule) — results are
-	// identical either way.
+	// KernelBitset forces the bitset rows; above graph.DenseRowLimit
+	// they cannot be built and the engines silently fall back to the
+	// slice paths, with identical results.
 	KernelBitset
 	// KernelSlice forces the sorted-slice CSR paths, disabling the
 	// BitGraph everywhere. The ablation baseline.
@@ -36,15 +35,31 @@ func (k Kernel) String() string {
 	}
 }
 
-// ResolveKernel normalizes Auto against the target size: bitset rows
-// are worth building exactly when the target fits the dense-row
-// threshold. Explicit choices pass through untouched.
-func ResolveKernel(k Kernel, targetNodes int) Kernel {
+// ResolveKernel normalizes Auto (explicit choices pass through): bitset
+// only when nodes ≤ graph.DenseRowLimit and 128·arcs ≥ nodes², arcs
+// counted directed — an average row holds a set bit per two 64-bit
+// words. Sparser rows are mostly zero words: on PDBSv1 (~2.3 arcs per
+// node and direction) each AC support test scanned a 218-word row for
+// two bits, and the rows held ~186 of a ~211 MB serving heap.
+func ResolveKernel(k Kernel, nodes, arcs int) Kernel {
 	if k != KernelAuto {
 		return k
 	}
-	if targetNodes <= graph.DenseRowLimit {
+	if nodes <= graph.DenseRowLimit && 128*arcs >= nodes*nodes {
 		return KernelBitset
 	}
 	return KernelSlice
+}
+
+// RowsFor is where every engine and the propagation acquire rows: nil
+// when k resolves to the slice paths on gt, else the Index's cached
+// rows when ix was built for gt, or fresh ones.
+func RowsFor(k Kernel, ix *Index, gt *graph.Graph) *graph.BitGraph {
+	switch {
+	case ResolveKernel(k, gt.NumNodes(), gt.NumEdges()) != KernelBitset:
+		return nil
+	case ix != nil && ix.nt == gt.NumNodes():
+		return ix.Rows(gt)
+	}
+	return graph.NewBitGraph(gt)
 }

@@ -320,7 +320,7 @@ func AutoTune(opts Options, gp, gt *graph.Graph) Options {
 		dense := st.Density >= inducedDenseDensity || st.MeanDegree >= inducedDenseMeanDegree
 		opts.SkipInducedAC = !dense || !patternHasNonEdge(gp)
 	}
-	opts.Kernel = ResolveKernel(opts.Kernel, st.Nodes)
+	opts.Kernel = ResolveKernel(opts.Kernel, st.Nodes, st.Edges)
 	return opts
 }
 

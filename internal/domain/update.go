@@ -38,7 +38,7 @@ func (ix *Index) ApplyUpdates(oldG, newG *graph.Graph, touched []int32) *Index {
 		nt:      ix.nt,
 		gen:     ix.gen + 1,
 	}
-	if c := ix.rowCache.Load(); c != nil && c.epoch == ix.gen {
+	if c := ix.cachedRows(); c != nil {
 		// The old index had BitGraph rows for its generation: seed the new
 		// index with an incremental rebuild (touched rows only, untouched
 		// rows shared), tagged with the new generation. A stale or absent
@@ -151,7 +151,7 @@ func IndexEqual(a, b *Index) (bool, string) {
 		// Rows are built lazily, so a one-sided cache is not a difference;
 		// when both sides have current-generation rows they must encode
 		// identical adjacency (the incremental-vs-rebuild row hook).
-		if ok, why := graph.BitGraphEqual(a.cachedRows(), b.cachedRows()); !ok {
+		if ok, why := graph.BitGraphEqual(a.cachedRows().rows, b.cachedRows().rows); !ok {
 			return false, "bitset rows: " + why
 		}
 	}

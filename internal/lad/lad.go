@@ -184,12 +184,8 @@ func Enumerate(gp, gt *graph.Graph, opts Options) Result {
 		mapped:    make([]int32, n),
 		nodeMap:   make([]int32, n),
 	}
-	if s.rows == nil && domain.ResolveKernel(opts.Kernel, gt.NumNodes()) == domain.KernelBitset {
-		if opts.Index != nil && opts.Index.NumNodes() == gt.NumNodes() {
-			s.rows = opts.Index.Rows(gt)
-		} else {
-			s.rows = graph.NewBitGraph(gt)
-		}
+	if s.rows == nil {
+		s.rows = domain.RowsFor(opts.Kernel, opts.Index, gt)
 	}
 	if opts.Ctx != nil {
 		s.done = opts.Ctx.Done()

@@ -91,9 +91,9 @@ type Options struct {
 	Schedule domain.Schedule
 	// Kernel selects the candidate-intersection implementation of the
 	// feasibility hot path (and of domain propagation): the zero value,
-	// domain.KernelAuto, picks bitset adjacency rows whenever the target
-	// fits graph.DenseRowLimit; KernelBitset/KernelSlice force one side
-	// (the differential battery and the kernel ablation run both).
+	// domain.KernelAuto, picks bitset rows only for targets within
+	// graph.DenseRowLimit with 128·arcs ≥ nodes² (domain.ResolveKernel
+	// gives the measured reason); KernelBitset/KernelSlice force one side.
 	Kernel domain.Kernel
 	// Semantics selects the matching semantics; the zero value
 	// (graph.SemanticsUnset) normalizes to the paper's non-induced
@@ -294,17 +294,13 @@ func Prepare(gp, gt *graph.Graph, opts Options) (*Prepared, error) {
 		}
 	}
 
-	if !p.Unsat && domain.ResolveKernel(opts.Kernel, gt.NumNodes()) == domain.KernelBitset {
-		// Reuse the rows domain propagation built; otherwise build (or
-		// fetch from the shared index's cache) the kernel layer here, so
-		// plain RI and skip-AC ablations run the bitset hot path too.
-		if p.PreprocStats != nil && p.PreprocStats.Rows != nil {
-			p.rows = p.PreprocStats.Rows
-		} else if p.Idx != nil {
-			p.rows = p.Idx.Rows(gt)
-		} else {
-			p.rows = graph.NewBitGraph(gt)
-		}
+	// Reuse the rows domain propagation built; otherwise acquire them
+	// here, so plain RI and skip-AC ablations run the bitset path too.
+	if p.PreprocStats != nil {
+		p.rows = p.PreprocStats.Rows
+	}
+	if !p.Unsat && p.rows == nil {
+		p.rows = domain.RowsFor(opts.Kernel, p.Idx, gt)
 	}
 
 	oopts := order.Options{Strategy: opts.OrderStrategy}

@@ -151,12 +151,8 @@ func Enumerate(gp, gt *graph.Graph, opts Options) Result {
 			return res
 		}
 	}
-	if s.rows == nil && domain.ResolveKernel(opts.Kernel, gt.NumNodes()) == domain.KernelBitset {
-		if opts.Index != nil && opts.Index.NumNodes() == gt.NumNodes() {
-			s.rows = opts.Index.Rows(gt)
-		} else {
-			s.rows = graph.NewBitGraph(gt)
-		}
+	if s.rows == nil {
+		s.rows = domain.RowsFor(opts.Kernel, opts.Index, gt)
 	}
 	for i := range s.core {
 		s.core[i] = -1

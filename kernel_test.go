@@ -1,9 +1,12 @@
 package parsge
 
 import (
+	"context"
 	"fmt"
+	"math/rand"
 	"testing"
 
+	"parsge/internal/datasets"
 	"parsge/internal/domain"
 	"parsge/internal/ri"
 	"parsge/internal/testutil"
@@ -132,27 +135,160 @@ func TestKernelDifferentialAllocs(t *testing.T) {
 	}
 }
 
-// TestKernelFallbackAboveLimit pins the sorted-slice fallback rule:
-// forcing KernelBitset must be a silent no-op (identical counts, no
-// error) when the target exceeds the dense-row threshold. Building a
-// >2^14-node graph per test run is too slow, so this covers the
-// resolution rule directly plus the engine-level nil-rows path via the
-// ResolveKernel contract.
+// TestKernelFallbackAboveLimit pins the ResolveKernel contract: Auto
+// resolves to bitset only when the target fits the dense-row threshold
+// (inclusive) AND its rows are dense (128·arcs ≥ nodes²); forcing
+// KernelBitset must be a silent no-op (identical counts, no error) when
+// the target exceeds the threshold. Building a >2^14-node graph per test
+// run is too slow, so this covers the resolution rule directly — it
+// takes counts, not a graph — plus the engine-level nil-rows path via
+// the same contract.
 func TestKernelFallbackAboveLimit(t *testing.T) {
-	if got := domain.ResolveKernel(domain.KernelAuto, 1<<14); got != domain.KernelBitset {
-		t.Errorf("ResolveKernel(Auto, 2^14) = %v, want bitset (limit is inclusive)", got)
+	const limit = 1 << 14
+	denseArcs := func(n int) int { return (n*n + 127) / 128 } // the density line, rounded up
+	if got := domain.ResolveKernel(domain.KernelAuto, limit, denseArcs(limit)); got != domain.KernelBitset {
+		t.Errorf("ResolveKernel(Auto, 2^14, dense) = %v, want bitset (limit and density line are inclusive)", got)
 	}
-	if got := domain.ResolveKernel(domain.KernelAuto, 1<<14+1); got != domain.KernelSlice {
-		t.Errorf("ResolveKernel(Auto, 2^14+1) = %v, want slice", got)
+	if got := domain.ResolveKernel(domain.KernelAuto, limit+1, denseArcs(limit+1)); got != domain.KernelSlice {
+		t.Errorf("ResolveKernel(Auto, 2^14+1, dense) = %v, want slice", got)
+	}
+	if got := domain.ResolveKernel(domain.KernelAuto, limit, denseArcs(limit)-1); got != domain.KernelSlice {
+		t.Errorf("ResolveKernel(Auto, 2^14, just below the density line) = %v, want slice", got)
 	}
 	for _, k := range []domain.Kernel{domain.KernelBitset, domain.KernelSlice} {
-		if got := domain.ResolveKernel(k, 1); got != k {
-			t.Errorf("ResolveKernel(%v, 1) = %v, want explicit choice preserved", k, got)
+		for _, size := range [][2]int{{1, 0}, {1, 1}, {limit, denseArcs(limit)}, {limit + 1, 0}} {
+			if got := domain.ResolveKernel(k, size[0], size[1]); got != k {
+				t.Errorf("ResolveKernel(%v, %d, %d) = %v, want explicit choice preserved", k, size[0], size[1], got)
+			}
 		}
 	}
 	for k, want := range map[Kernel]string{KernelAuto: "auto", KernelBitset: "bitset", KernelSlice: "slice"} {
 		if got := fmt.Sprint(k); got != want {
 			t.Errorf("Kernel(%d).String() = %q, want %q", int(k), got, want)
+		}
+	}
+}
+
+// TestKernelAutoPerCollection pins where the density line falls on the
+// benchmark collections (corpus seed 1): the dense PPI and microbial
+// targets keep the bitset rows, while every PDBSv1 molecular target past
+// a few hundred nodes (~2.3 arcs per node and direction) stays on the
+// slice paths and never builds a row.
+func TestKernelAutoPerCollection(t *testing.T) {
+	auto := func(g *Graph) Kernel { return domain.ResolveKernel(KernelAuto, g.NumNodes(), g.NumEdges()) }
+	for _, name := range []string{"PPIS32", "GRAEMLIN32"} {
+		c, err := datasets.ByName(name, datasets.Config{Scale: 0.03, Seed: 1, NumPatterns: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, g := range c.Targets {
+			if got := auto(g); got != KernelBitset {
+				t.Errorf("%s target %d (%d nodes, %d arcs): Auto = %v, want bitset", name, i, g.NumNodes(), g.NumEdges(), got)
+			}
+		}
+	}
+	c := datasets.PDBSv1(datasets.Config{Scale: 0.5, Seed: 1, NumPatterns: 1})
+	checked := 0
+	for i, g := range c.Targets {
+		if g.NumNodes() <= 300 {
+			continue
+		}
+		checked++
+		if got := auto(g); got != KernelSlice {
+			t.Errorf("PDBSv1 target %d (%d nodes, %d arcs): Auto = %v, want slice", i, g.NumNodes(), g.NumEdges(), got)
+		}
+		if domain.RowsFor(KernelAuto, nil, g) != nil {
+			t.Errorf("PDBSv1 target %d: RowsFor(Auto) built rows on a sparse target", i)
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no PDBSv1 target above 300 nodes at scale 0.5")
+	}
+}
+
+// TestKernelAutoAcrossDensityLine pushes one small target across the
+// density line and back with ApplyUpdates. On both sides every engine's
+// Auto-kernel count must match the brute-force oracle under all three
+// semantics, the incrementally maintained index must equal a rebuild
+// after each batch, and no rows may exist before the target first
+// crosses into bitset territory.
+func TestKernelAutoAcrossDensityLine(t *testing.T) {
+	const n = 40 // density line: 128·m ≥ 1600, i.e. 13 arcs
+	rng := rand.New(rand.NewSource(7))
+	labels := make([]Label, n)
+	for i := range labels {
+		labels[i] = Label(rng.Intn(2))
+	}
+	// Start on an undirected path of 5 edges (10 arcs): slice side.
+	var edges []Edge
+	for v := int32(0); v < 5; v++ {
+		edges = append(edges, Edge{From: v, To: v + 1}, Edge{From: v + 1, To: v})
+	}
+	tgt, err := NewTarget(graphFromEdges(t, labels, edges), TargetOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	undirected := func(remove bool, pairs ...[2]int32) []EdgeUpdate {
+		var ups []EdgeUpdate
+		for _, p := range pairs {
+			ups = append(ups, EdgeUpdate{From: p[0], To: p[1], Remove: remove}, EdgeUpdate{From: p[1], To: p[0], Remove: remove})
+		}
+		return ups
+	}
+	batches := [][]EdgeUpdate{
+		undirected(false, [2]int32{5, 6}, [2]int32{6, 0}, [2]int32{2, 7}),                // 16 arcs: bitset
+		undirected(false, [2]int32{7, 8}, [2]int32{8, 2}, [2]int32{1, 3}),                // 22 arcs: bitset
+		undirected(true, [2]int32{7, 8}, [2]int32{8, 2}, [2]int32{1, 3}, [2]int32{2, 7}), // 14 arcs: bitset
+		undirected(true, [2]int32{6, 0}),                                                 // 12 arcs: slice
+	}
+	check := func(step int) Kernel {
+		g := tgt.Graph()
+		kern := domain.ResolveKernel(KernelAuto, g.NumNodes(), g.NumEdges())
+		patterns := []*Graph{testutil.ExtractPattern(rng, g, 3), testutil.ExtractPattern(rng, g, 4)}
+		for _, gp := range patterns {
+			for _, sem := range allSemantics {
+				want := testutil.BruteCountSem(gp, g, sem)
+				for _, eng := range kernelEngines {
+					opts := eng.opts
+					opts.Semantics = sem
+					got, err := tgt.Count(context.Background(), gp, opts)
+					if err != nil {
+						t.Fatalf("step %d (%v side): %s under %v: %v", step, kern, eng.name, sem, err)
+					}
+					if got != want {
+						t.Errorf("step %d (%v side): %s under %v = %d, want %d\npattern=%v\ntarget=%v",
+							step, kern, eng.name, sem, got, want, gp.Edges(), g.Edges())
+					}
+				}
+			}
+		}
+		return kern
+	}
+	if got := check(0); got != KernelSlice {
+		t.Fatalf("initial target resolves to %v, want slice", got)
+	}
+	if tgt.state.Load().index.HasRows() {
+		t.Fatal("Auto queries built bitset rows on a target below the density line")
+	}
+	want := []Kernel{KernelBitset, KernelBitset, KernelBitset, KernelSlice}
+	for i, ups := range batches {
+		if _, err := tgt.ApplyUpdates(context.Background(), ups); err != nil {
+			t.Fatal(err)
+		}
+		edges = applyOracle(edges, ups)
+		if got := check(i + 1); got != want[i] {
+			t.Fatalf("after batch %d (%d arcs): Auto = %v, want %v", i, tgt.Graph().NumEdges(), got, want[i])
+		}
+		if want[i] == KernelBitset && !tgt.state.Load().index.HasRows() {
+			t.Errorf("after batch %d: Auto queries above the density line left no bitset rows", i)
+		}
+		rebuilt, err := NewTarget(graphFromEdges(t, labels, edges), TargetOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rebuilt.state.Load().index.Rows(rebuilt.Graph())
+		if ok, diff := domain.IndexEqual(tgt.state.Load().index, rebuilt.state.Load().index); !ok {
+			t.Fatalf("after batch %d: incremental index differs from rebuild: %s", i, diff)
 		}
 	}
 }

@@ -261,9 +261,10 @@ const (
 type Kernel = domain.Kernel
 
 const (
-	// KernelAuto (the default) picks per query: bitset adjacency rows
-	// whenever the target fits the dense-row threshold (2^14 nodes),
-	// the classic sorted-slice paths otherwise.
+	// KernelAuto (the default) picks bitset adjacency rows only when the
+	// target fits the dense-row threshold (2^14 nodes) and 128·arcs ≥
+	// nodes²; sparser targets (PDBSv1: ~2.3 arcs per node) run the
+	// sorted-slice paths, where rows would be mostly zero words.
 	KernelAuto = domain.KernelAuto
 	// KernelBitset forces the dense bitset adjacency rows (word-parallel
 	// candidate intersection). Above the dense-row threshold the rows
@@ -318,9 +319,8 @@ type PruningOptions struct {
 	DisableInducedAC bool
 	// Kernel selects the candidate-intersection implementation of the
 	// enumeration hot paths: KernelAuto (the zero value) picks bitset
-	// adjacency rows for targets up to the dense-row threshold,
-	// KernelBitset/KernelSlice force one side (kernel ablations and the
-	// differential battery run both).
+	// rows for dense targets within the dense-row threshold (128·arcs ≥
+	// nodes²; see KernelAuto), KernelBitset/KernelSlice force one side.
 	Kernel Kernel
 }
 

@@ -134,7 +134,16 @@ type sessionStats struct {
 	match   time.Duration
 	steals  int64
 	noPlan  int64
-	buckets map[string]*PlanBucket
+	buckets map[bucketKey]*PlanBucket
+}
+
+// bucketKey keys one plan-histogram bucket: a plan rendering at one
+// target mutation epoch (a struct, so lookups allocate no key).
+//
+//sgelint:epochkey
+type bucketKey struct {
+	epoch uint64
+	plan  string
 }
 
 // record folds one completed query result into the accumulator.
@@ -209,9 +218,9 @@ func (s *sessionStats) recordCensus(res *CensusResult) {
 // bucket silently aggregated across graph versions.
 func (s *sessionStats) bucket(epoch uint64, plan string) *PlanBucket {
 	if s.buckets == nil {
-		s.buckets = make(map[string]*PlanBucket)
+		s.buckets = make(map[bucketKey]*PlanBucket)
 	}
-	key := fmt.Sprintf("%d|%s", epoch, plan)
+	key := bucketKey{epoch: epoch, plan: plan}
 	b := s.buckets[key]
 	if b == nil {
 		b = &PlanBucket{Plan: plan, Epoch: epoch}
@@ -279,7 +288,7 @@ type PlanCost struct {
 func (s *sessionStats) planCost(epoch uint64, plan string) PlanCost {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	b := s.buckets[fmt.Sprintf("%d|%s", epoch, plan)]
+	b := s.buckets[bucketKey{epoch: epoch, plan: plan}]
 	if b == nil {
 		return PlanCost{}
 	}
