@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"parsge/internal/domain"
-	"parsge/internal/ri"
 )
 
 // This file exposes the cheap per-query cost signals the service layer's
@@ -71,32 +70,14 @@ func (t *Target) EstimateCost(ctx context.Context, pattern *Graph, opts Options)
 	if ctx != nil && ctx.Err() != nil {
 		return CostEstimate{Epoch: st.epoch}, ctx.Err()
 	}
-	alg := st.resolveAlgorithm(opts.Algorithm)
-	if (alg < RI || alg > RIDSSIFC) && alg != VF2 && alg != LAD {
-		return CostEstimate{}, fmt.Errorf("parsge: unknown algorithm %d", int(alg))
-	}
-	sem, err := t.ResolveSemantics(opts)
+	alg, dopts, err := t.resolveQuery(st, opts)
 	if err != nil {
 		return CostEstimate{}, err
 	}
 	gp := pattern.Simplify()
-
-	// Mirror ri.Prepare's domain resolution so the estimate prices the
-	// same plan the query will run (plain RI computes no domains, but
-	// the bound is still the best shed signal available, so the
-	// estimate always computes them).
-	dopts := domain.Options{
-		ACPasses:      opts.Pruning.ACPasses,
-		SkipNLF:       opts.Pruning.DisableNLF,
-		SkipInducedAC: opts.Pruning.DisableInducedAC,
-		Index:         st.index,
-		Kernel:        opts.Pruning.Kernel,
-		Semantics:     sem,
-	}
-	if opts.Pruning.Schedule == domain.ScheduleAuto {
-		dopts = domain.AutoTune(dopts, gp, st.g)
-	}
-	doms, dstats := domain.ComputeWithStats(gp, st.g, dopts)
+	// Plain RI computes no domains, but the bound is still the best
+	// shed signal available, so the estimate always computes them.
+	doms, dstats := domain.Prepare(gp, st.g, dopts)
 	logProd, anyEmpty := doms.LogProduct()
 
 	est := CostEstimate{
@@ -112,7 +93,7 @@ func (t *Target) EstimateCost(ctx context.Context, pattern *Graph, opts Options)
 	if n := st.g.NumNodes(); n > 1 {
 		est.TargetDensity = float64(st.g.NumEdges()) / (float64(n) * float64(n-1))
 	}
-	if alg >= RI && alg <= RIDSSIFC && !ri.Variant(alg).UsesDomains() {
+	if alg == RI {
 		est.PlanKey = "none" // plain RI records no plan
 	} else {
 		est.Plan = planInfo(&dstats)

@@ -2,8 +2,11 @@ package parsge
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
+
+	"parsge/internal/domain"
 )
 
 // costClique builds an unlabeled complete graph on n nodes.
@@ -83,20 +86,101 @@ func TestTruncatedRunsRecordedSeparately(t *testing.T) {
 	}
 }
 
-// TestEstimateCostMatchesRealRun pins the contract the admission model
-// depends on: EstimateCost resolves the same preprocessing plan the real
-// enumeration will record (PlanKey names the bucket the run lands in)
-// and pins its verdict to the target's current epoch.
+// costTwoLabel copies g with its nodes labeled alternately 0 and 1: one
+// bit of label entropy, enough for the Auto schedule's label-rich plan.
+func costTwoLabel(g *Graph) *Graph {
+	b := NewBuilder(g.NumNodes(), g.NumEdges())
+	for v := 0; v < g.NumNodes(); v++ {
+		b.AddNode(Label(v % 2))
+	}
+	for v := int32(0); v < int32(g.NumNodes()); v++ {
+		labs := g.OutEdgeLabels(v)
+		for k, w := range g.OutNeighbors(v) {
+			b.AddEdge(v, w, labs[k])
+		}
+	}
+	return b.MustBuild()
+}
+
+// TestEstimateCostMatchesRealRun: for every algorithm, semantics and
+// schedule, on a target dense enough for the bitset kernel and one
+// sparse enough for the slice kernel, the estimate's PlanKey is the
+// plan the real run records ("none" for plain RI) and the run lands in
+// that bucket; for the domain-using engines the estimate's
+// Unsatisfiable agrees with the run's. The estimate is also pinned to
+// the target's current epoch.
 func TestEstimateCostMatchesRealRun(t *testing.T) {
 	t.Parallel()
+	targets := []struct {
+		name   string
+		g      *Graph
+		kernel domain.Kernel
+	}{
+		{"dense", costTwoLabel(costClique(12)), domain.KernelBitset},
+		{"sparse", costTwoLabel(cycleGraph(300)), domain.KernelSlice},
+	}
+	patterns := []*Graph{costTwoLabel(pathGraph(3)), costStar(3)}
+	algs := []Algorithm{RI, RIDS, RIDSSI, RIDSSIFC, VF2, LAD}
+	sems := []Semantics{SubgraphIso, InducedIso, Homomorphism}
+	ctx := context.Background()
+	for _, tc := range targets {
+		g := tc.g
+		if k := domain.ResolveKernel(KernelAuto, g.NumNodes(), g.NumEdges()); k != tc.kernel {
+			t.Fatalf("%s target resolves to the %v kernel, want %v", tc.name, k, tc.kernel)
+		}
+		tgt, err := NewTarget(g, TargetOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pi, pat := range patterns {
+			for _, alg := range algs {
+				for _, sem := range sems {
+					for _, sched := range []Schedule{ScheduleAuto, ScheduleFixed} {
+						name := fmt.Sprintf("%s/p%d/%v/%v/%v", tc.name, pi, alg, sem, sched)
+						opts := Options{Algorithm: alg, Semantics: sem, Timeout: 5 * time.Second,
+							Pruning: PruningOptions{Schedule: sched}}
+						est, err := tgt.EstimateCost(ctx, pat, opts)
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						// Plan-less runs count as NoPlan, not in a bucket.
+						landed := func() int64 {
+							st := tgt.Stats()
+							if est.PlanKey == "none" {
+								return st.Plans.NoPlan
+							}
+							return st.Plans.Bucket(est.PlanKey).Count
+						}
+						before := landed()
+						res, err := tgt.Enumerate(ctx, pat, opts)
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						gotPlan := "none"
+						if res.Plan != nil {
+							gotPlan = res.Plan.String()
+						}
+						if est.PlanKey != gotPlan {
+							t.Errorf("%s: estimate PlanKey %q, real run recorded plan %q", name, est.PlanKey, gotPlan)
+						}
+						if landed() != before+1 {
+							t.Errorf("%s: real run did not land in the estimated bucket %q", name, est.PlanKey)
+						}
+						if alg != RI && est.Unsatisfiable != res.Unsatisfiable {
+							t.Errorf("%s: estimate Unsatisfiable=%v, real run %v", name, est.Unsatisfiable, res.Unsatisfiable)
+						}
+					}
+				}
+			}
+		}
+	}
+
 	tgt, err := NewTarget(costClique(10), TargetOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pat := costStar(3)
 	opts := Options{Algorithm: RIDSSIFC, Semantics: Homomorphism, Timeout: 5 * time.Second}
-
-	est, err := tgt.EstimateCost(context.Background(), pat, opts)
+	est, err := tgt.EstimateCost(ctx, costStar(3), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,29 +194,13 @@ func TestEstimateCostMatchesRealRun(t *testing.T) {
 		t.Fatalf("estimate epoch %d, target epoch %d", est.Epoch, tgt.Epoch())
 	}
 
-	res, err := tgt.Enumerate(context.Background(), pat, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotPlan := "none"
-	if res.Plan != nil {
-		gotPlan = res.Plan.String()
-	}
-	if est.PlanKey != gotPlan {
-		t.Fatalf("estimate PlanKey %q, real run recorded plan %q", est.PlanKey, gotPlan)
-	}
-	st := tgt.Stats()
-	if bkt := st.Plans.Bucket(est.PlanKey); bkt.Count != 1 {
-		t.Fatalf("real run did not land in the estimated bucket %q (Count=%d)", est.PlanKey, bkt.Count)
-	}
-
 	// A pattern whose label does not occur in the target must be proved
 	// unsatisfiable by preprocessing — the admission model prices it free.
 	lb := NewBuilder(2, 2)
 	lb.AddNode(9)
 	lb.AddNode(9)
 	lb.AddEdgeBoth(0, 1, NoLabel)
-	uest, err := tgt.EstimateCost(context.Background(), lb.MustBuild(), opts)
+	uest, err := tgt.EstimateCost(ctx, lb.MustBuild(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -141,9 +141,9 @@ func (s *Suite) AblationInitialDistribution() AblationResult {
 func (s *Suite) AblationArcConsistency() AblationResult {
 	insts := s.instances("GRAEMLIN32")
 	res := AblationResult{Title: "arc-consistency depth (domains, §4.1; NLF off)"}
-	none := s.runAll(insts, runConfig{variant: ri.VariantRIDS, workers: 1, skipAC: true, skipNLF: true})
-	one := s.runAll(insts, runConfig{variant: ri.VariantRIDS, workers: 1, acPasses: 1, skipNLF: true})
-	fix := s.runAll(insts, runConfig{variant: ri.VariantRIDS, workers: 1, skipNLF: true})
+	none := s.runAll(insts, runConfig{variant: ri.VariantRIDS, workers: 1, dom: domain.Options{SkipAC: true, SkipNLF: true}})
+	one := s.runAll(insts, runConfig{variant: ri.VariantRIDS, workers: 1, dom: domain.Options{ACPasses: 1, SkipNLF: true}})
+	fix := s.runAll(insts, runConfig{variant: ri.VariantRIDS, workers: 1, dom: domain.Options{SkipNLF: true}})
 	res.Rows = append(res.Rows,
 		aggregate("no AC (label+degree only)", none),
 		aggregate("single pass (RI-DS paper)", one),
@@ -181,22 +181,22 @@ func (s *Suite) AblationPruningFilters() AblationResult {
 	for _, coll := range []string{"PPIS32", "PDBSv1"} {
 		insts := s.smallInstances(coll, 6, 8)
 		for _, sem := range pruningSemantics {
-			base := runConfig{variant: ri.VariantRIDSSIFC, workers: 1, semantics: sem}
+			base := runConfig{variant: ri.VariantRIDSSIFC, workers: 1, dom: domain.Options{Semantics: sem}}
 			off := base
-			off.skipNLF, off.skipInducedAC = true, true
+			off.dom.SkipNLF, off.dom.SkipInducedAC = true, true
 			res.Rows = append(res.Rows,
 				aggregate(PruningRowName(coll, sem, "RI-DS filters on"), s.runAll(insts, base)),
 				aggregate(PruningRowName(coll, sem, "RI-DS filters off"), s.runAll(insts, off)))
 			if sem == graph.InducedIso {
 				noNLF, noIAC := base, base
-				noNLF.skipNLF = true
-				noIAC.skipInducedAC = true
+				noNLF.dom.SkipNLF = true
+				noIAC.dom.SkipInducedAC = true
 				res.Rows = append(res.Rows,
 					aggregate(PruningRowName(coll, sem, "RI-DS no NLF"), s.runAll(insts, noNLF)),
 					aggregate(PruningRowName(coll, sem, "RI-DS no induced-AC"), s.runAll(insts, noIAC)))
 			}
-			vf2On := runConfig{vf2: true, semantics: sem}
-			vf2Off := runConfig{vf2: true, vf2SkipDomains: true, semantics: sem}
+			vf2On := runConfig{vf2: true, dom: domain.Options{Semantics: sem}}
+			vf2Off := runConfig{vf2: true, vf2SkipDomains: true, dom: domain.Options{Semantics: sem}}
 			res.Rows = append(res.Rows,
 				aggregate(PruningRowName(coll, sem, "VF2 pruned"), s.runAll(insts, vf2On)),
 				aggregate(PruningRowName(coll, sem, "VF2 baseline"), s.runAll(insts, vf2Off)))
@@ -205,7 +205,7 @@ func (s *Suite) AblationPruningFilters() AblationResult {
 			// exactly and bitset must not allocate more than slice — the
 			// acceptance criteria of the BitGraph kernel layer.
 			bitset, slice := base, base
-			bitset.kernel, slice.kernel = domain.KernelBitset, domain.KernelSlice
+			bitset.dom.Kernel, slice.dom.Kernel = domain.KernelBitset, domain.KernelSlice
 			res.Rows = append(res.Rows,
 				aggregate(PruningRowName(coll, sem, "RI-DS bitset kernel"), s.runAll(insts, bitset)),
 				aggregate(PruningRowName(coll, sem, "RI-DS slice kernel"), s.runAll(insts, slice)))
@@ -233,9 +233,9 @@ var scheduleFixedConfigs = []struct {
 	cfg  func(runConfig) runConfig
 }{
 	{"Fixed/full", func(c runConfig) runConfig { return c }},
-	{"Fixed/AC1", func(c runConfig) runConfig { c.acPasses = 1; return c }},
-	{"Fixed/noNLF", func(c runConfig) runConfig { c.skipNLF = true; return c }},
-	{"Fixed/no-induced-AC", func(c runConfig) runConfig { c.skipInducedAC = true; return c }},
+	{"Fixed/AC1", func(c runConfig) runConfig { c.dom.ACPasses = 1; return c }},
+	{"Fixed/noNLF", func(c runConfig) runConfig { c.dom.SkipNLF = true; return c }},
+	{"Fixed/no-induced-AC", func(c runConfig) runConfig { c.dom.SkipInducedAC = true; return c }},
 }
 
 // AblationAdaptiveSchedule measures the adaptive preprocessing
@@ -251,7 +251,7 @@ func (s *Suite) AblationAdaptiveSchedule() AblationResult {
 	for _, coll := range []string{"PPIS32", "PDBSv1"} {
 		insts := s.smallInstances(coll, 6, 8)
 		for _, sem := range pruningSemantics {
-			base := runConfig{variant: ri.VariantRIDSSIFC, workers: 1, semantics: sem}
+			base := runConfig{variant: ri.VariantRIDSSIFC, workers: 1, dom: domain.Options{Semantics: sem}}
 			auto := base
 			auto.autoSchedule = true
 			res.Rows = append(res.Rows,

@@ -150,6 +150,17 @@ func runAdmissionPass(ctx context.Context, svc *service.Service, patterns []*gra
 	return p
 }
 
+// staticClassify is the pre-cost-model admission heuristic, the
+// ablation's baseline: a query gets the parallel pool when it asks for
+// parallelism, has at least 6 pattern nodes, or has at least 4 on a
+// target of mean degree 8 or more. It sheds nothing.
+func staticClassify(tgt *parsge.Target) func(*parsge.Graph, parsge.Options) bool {
+	return func(gp *parsge.Graph, opts parsge.Options) bool {
+		np := gp.NumNodes()
+		return opts.Workers > 1 || opts.Workers == parsge.AutoWorkers || np >= 6 || (np >= 4 && tgt.MeanDegree() >= 8)
+	}
+}
+
 // AblationAdmission compares cost-model admission against the static
 // pattern-size heuristic on a mixed workload with explosive star
 // probes, two replays each. The result cache is disabled on both
@@ -212,9 +223,9 @@ func (s *Suite) AblationAdmission() AblationResult {
 	explosiveLogDomain := (maxPattern + scoreOf(star, parsge.Homomorphism)) / 2
 
 	static, err := service.New(service.Config{
-		Target:           staticTgt,
-		DisableCostModel: true,
-		CacheMaxMatches:  -1,
+		Target:          staticTgt,
+		Classify:        staticClassify(staticTgt),
+		CacheMaxMatches: -1,
 	})
 	if err != nil {
 		return res

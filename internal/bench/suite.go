@@ -28,7 +28,6 @@ import (
 
 	"parsge/internal/datasets"
 	"parsge/internal/domain"
-	"parsge/internal/graph"
 	"parsge/internal/order"
 	"parsge/internal/parallel"
 	"parsge/internal/ri"
@@ -182,14 +181,12 @@ type runConfig struct {
 	senderInitiated bool
 	// noInitDist seeds all root tasks on worker 0 (ablation of §3.3).
 	noInitDist bool
-	// acPasses / skipAC forward to domain computation (ablation of the
-	// arc-consistency fixpoint).
-	acPasses int
-	skipAC   bool
-	// skipNLF / skipInducedAC disable the semantics-aware domain
-	// filters (ablation of the pruning subsystem).
-	skipNLF       bool
-	skipInducedAC bool
+	// dom is the domain preprocessing configuration: the filter knobs
+	// (ablations of the arc-consistency depth and the pruning
+	// subsystem), the matching semantics (zero value: the paper's
+	// subgraph isomorphism) and the kernel (the kernel ablation pins
+	// KernelBitset vs KernelSlice). Its Schedule is set by autoSchedule.
+	dom domain.Options
 	// autoSchedule opts into the adaptive filter scheduler. The zero
 	// value pins domain.ScheduleFixed so every other ablation isolates
 	// exactly the knobs it sets; AblationAdaptiveSchedule measures Auto
@@ -200,16 +197,9 @@ type runConfig struct {
 	// (ablation of wiring the pruning subsystem into VF2).
 	vf2            bool
 	vf2SkipDomains bool
-	// semantics selects the matching semantics (zero value: the paper's
-	// subgraph isomorphism).
-	semantics graph.Semantics
 	// orderStrategy overrides the node-ordering rule (ablation).
 	orderStrategy order.Strategy
-	// kernel selects the candidate-intersection implementation of the
-	// hot paths (zero value domain.KernelAuto; the kernel ablation pins
-	// KernelBitset vs KernelSlice).
-	kernel domain.Kernel
-	seed   int64
+	seed          int64
 }
 
 // runInstance measures one instance under one configuration.
@@ -223,21 +213,17 @@ func (s *Suite) runInstance(inst datasets.Instance, cfg runConfig) Record {
 	ctx, cancel := context.WithTimeout(parent, s.Timeout)
 	defer cancel()
 
-	sched := domain.ScheduleFixed
+	dom := cfg.dom
+	dom.Schedule = domain.ScheduleFixed
 	if cfg.autoSchedule {
-		sched = domain.ScheduleAuto
+		dom.Schedule = domain.ScheduleAuto
 	}
 
 	if cfg.vf2 {
 		res := vf2.Enumerate(inst.Pattern, inst.Target, vf2.Options{
-			Ctx:           ctx,
-			Semantics:     cfg.semantics,
-			SkipDomains:   cfg.vf2SkipDomains,
-			SkipNLF:       cfg.skipNLF,
-			SkipInducedAC: cfg.skipInducedAC,
-			ACPasses:      cfg.acPasses,
-			Schedule:      sched,
-			Kernel:        cfg.kernel,
+			Ctx:         ctx,
+			SkipDomains: cfg.vf2SkipDomains,
+			Domain:      dom,
 		})
 		rec.Matches = res.Matches
 		rec.States = res.States
@@ -249,14 +235,8 @@ func (s *Suite) runInstance(inst datasets.Instance, cfg runConfig) Record {
 
 	prep, err := ri.Prepare(inst.Pattern, inst.Target, ri.Options{
 		Variant:       cfg.variant,
-		ACPasses:      cfg.acPasses,
-		SkipAC:        cfg.skipAC,
-		SkipNLF:       cfg.skipNLF,
-		SkipInducedAC: cfg.skipInducedAC,
-		Semantics:     cfg.semantics,
+		Domain:        dom,
 		OrderStrategy: cfg.orderStrategy,
-		Schedule:      sched,
-		Kernel:        cfg.kernel,
 	})
 	if err != nil {
 		panic(err) // harness-internal configurations are always valid

@@ -27,9 +27,11 @@
 // from all other domains").
 //
 // Which filters run — and how deep arc consistency iterates — is chosen
-// per query by the adaptive schedule (see Schedule, AutoTune in
+// per query by the adaptive schedule (see Schedule, autoTune in
 // schedule.go): preprocessing cost is only paid where target statistics
-// say it amortizes. NLF signatures have two representations: exact
+// say it amortizes. Prepare, which resolves the schedule and then
+// computes the domains, is the one entry the engines and the session's
+// cost estimate call. NLF signatures have two representations: exact
 // per-key (nlfSig) and memory-bounded bucketed (compact.go).
 package domain
 
@@ -62,7 +64,7 @@ type Domains struct {
 type Index struct {
 	byLabel map[graph.Label][]int32
 	nt      int
-	// stats are cached for AutoTune (density, label entropy, skew).
+	// stats are cached for autoTune (density, label entropy, skew).
 	stats TargetStats
 	// out[v] / in[v] are node v's exact NLF signatures per direction
 	// (nil in compact mode).
@@ -273,8 +275,16 @@ func (t nlfSig) dominates(p nlfSig, hom bool) bool {
 	return true
 }
 
-// Options configures domain computation.
+// Options configures domain computation. It is the one preprocessing
+// configuration the engines (ri, vf2, lad) and the session's cost
+// estimate share; Prepare is its one entry point.
 type Options struct {
+	// Schedule selects the filter plan: the zero value, ScheduleAuto,
+	// lets Prepare adapt the knobs below to the target's statistics and
+	// the pattern's shape (see autoTune); ScheduleFixed runs them as
+	// given. Explicit knobs are respected under both. Compute and
+	// ComputeWithStats run the knobs as given and ignore it.
+	Schedule Schedule
 	// ACPasses bounds the number of arc-consistency sweeps: 0 means
 	// iterate to fixpoint, n > 0 caps at n sweeps. A single sweep is
 	// what the original RI-DS description performs; the fixpoint is
@@ -284,7 +294,7 @@ type Options struct {
 	// rather than a caller demand: after the capped sweeps the pipeline
 	// measures the remaining domains and escalates to fixpoint when
 	// their mean size is still at least acEscalateMeanDomain candidates
-	// per pattern node (the second-stage AutoTune rule). Set by AutoTune
+	// per pattern node (the second-stage autoTune rule). Set by autoTune
 	// alongside its one-pass cap; ignored when ACPasses is 0.
 	ACAdaptive bool
 	// SkipAC disables arc consistency entirely (the induced non-edge
@@ -324,6 +334,18 @@ type Options struct {
 	Semantics graph.Semantics
 }
 
+// Prepare is the preprocessing step every engine and the cost estimate
+// run before a search: it resolves opts.Schedule (Auto tunes the filter
+// knobs to this target and pattern), then computes the domains of gp
+// against gt. The stats report the plan that ran and carry the bitset
+// rows the propagation used (Rows) for the engine to reuse.
+func Prepare(gp, gt *graph.Graph, opts Options) (*Domains, ComputeStats) {
+	if opts.Schedule == ScheduleAuto {
+		opts = autoTune(opts, gp, gt)
+	}
+	return ComputeWithStats(gp, gt, opts)
+}
+
 // Compute builds the domains of pattern gp against target gt.
 func Compute(gp, gt *graph.Graph, opts Options) *Domains {
 	d, _ := ComputeWithStats(gp, gt, opts)
@@ -332,8 +354,8 @@ func Compute(gp, gt *graph.Graph, opts Options) *Domains {
 
 // ComputeWithStats is Compute plus a report of what the filter pipeline
 // did: the resolved Plan, per-filter wall times, and staged domain
-// sizes. Callers that schedule adaptively (see AutoTune) surface the
-// report so the chosen plan is measurable rather than implicit.
+// sizes. It runs the filter knobs exactly as given; Prepare is the
+// scheduling entry that resolves them first.
 func ComputeWithStats(gp, gt *graph.Graph, opts Options) (*Domains, ComputeStats) {
 	sem := opts.Semantics.Norm()
 	np, nt := gp.NumNodes(), gt.NumNodes()
@@ -520,7 +542,7 @@ func patternSelfLoops(gp *graph.Graph) [][]graph.Label {
 // first sweep the remaining mean domain size is measured, and when it is
 // still at least acEscalateMeanDomain candidates per pattern node the
 // cap is lifted and the sweeps continue to fixpoint (the second-stage
-// AutoTune rule). The outcome is written back to st.Plan.ACPasses so the
+// autoTune rule). The outcome is written back to st.Plan.ACPasses so the
 // reported plan shows the decision actually taken.
 func (d *Domains) arcConsistency(gp, gt *graph.Graph, rows *graph.BitGraph, maxPasses int, adaptive, induced bool, st *ComputeStats) {
 	np := gp.NumNodes()

@@ -459,7 +459,7 @@ func TestGoldenSchedulePlans(t *testing.T) {
 		ix := NewIndex(inst.Target)
 		var got []string
 		for _, sem := range []graph.Semantics{graph.SubgraphIso, graph.InducedIso, graph.Homomorphism} {
-			opts := AutoTune(Options{Index: ix, Semantics: sem}, inst.Pattern, inst.Target)
+			opts := autoTune(Options{Index: ix, Semantics: sem}, inst.Pattern, inst.Target)
 			_, st := ComputeWithStats(inst.Pattern, inst.Target, opts)
 			got = append(got, fmt.Sprintf("%v: plan=%v after-unary=%d final=%d",
 				sem, st.Plan, st.AfterUnary, st.Final))
@@ -578,11 +578,11 @@ func TestCompactNLFMemory(t *testing.T) {
 // AC cap is kept), and on a label-rich target Auto caps AC at one pass.
 func TestAutoTuneRespectsExplicitKnobs(t *testing.T) {
 	gp, gt, _ := richInstance(3) // 5 labels: label-rich
-	tuned := AutoTune(Options{Semantics: graph.SubgraphIso}, gp, gt)
+	tuned := autoTune(Options{Semantics: graph.SubgraphIso}, gp, gt)
 	if tuned.SkipNLF || tuned.ACPasses != 1 {
 		t.Errorf("label-rich target: want NLF + 1-pass AC, got %+v", tuned)
 	}
-	tuned = AutoTune(Options{Semantics: graph.SubgraphIso, SkipNLF: true, ACPasses: 3}, gp, gt)
+	tuned = autoTune(Options{Semantics: graph.SubgraphIso, SkipNLF: true, ACPasses: 3}, gp, gt)
 	if !tuned.SkipNLF || tuned.ACPasses != 3 {
 		t.Errorf("explicit knobs overridden: %+v", tuned)
 	}
@@ -594,7 +594,7 @@ func TestAutoTuneRespectsExplicitKnobs(t *testing.T) {
 		b.AddEdge(i, i+1, 0)
 	}
 	plain := b.MustBuild()
-	tuned = AutoTune(Options{Semantics: graph.SubgraphIso}, gp, plain)
+	tuned = autoTune(Options{Semantics: graph.SubgraphIso}, gp, plain)
 	if !tuned.SkipNLF || tuned.ACPasses != 0 {
 		t.Errorf("label-poor target: want no NLF + fixpoint AC, got %+v", tuned)
 	}
@@ -617,7 +617,7 @@ func TestIndexSharedConcurrently(t *testing.T) {
 		for g := 0; g < 12; g++ {
 			go func(g int) {
 				sem := sems[g%len(sems)]
-				opts := AutoTune(Options{Semantics: sem, Index: ix}, gp, gt)
+				opts := autoTune(Options{Semantics: sem, Index: ix}, gp, gt)
 				Compute(gp, gt, opts) // Auto plan: races on ix.stats would trip -race
 				got := Compute(gp, gt, Options{Semantics: sem, Index: ix}).TotalSize()
 				if got != want[g%len(sems)] {
@@ -636,7 +636,7 @@ func TestIndexSharedConcurrently(t *testing.T) {
 }
 
 // TestAdaptiveACEscalation: the second-stage rule in action. The target
-// is label-rich (two balanced labels), so AutoTune caps AC at one
+// is label-rich (two balanced labels), so autoTune caps AC at one
 // adaptive pass — but the instance is built so that the first sweep
 // leaves the domains large (mean well above acEscalateMeanDomain) while
 // still pruning something: a set of "trap" A-nodes each with a private
@@ -684,9 +684,9 @@ func TestAdaptiveACEscalation(t *testing.T) {
 	pb.AddEdge(1, 2, graph.NoLabel)
 	gp := pb.MustBuild()
 
-	opts := AutoTune(Options{Semantics: graph.SubgraphIso}, gp, gt)
+	opts := autoTune(Options{Semantics: graph.SubgraphIso}, gp, gt)
 	if !opts.ACAdaptive || opts.ACPasses != 1 {
-		t.Fatalf("AutoTune did not choose the adaptive one-pass cap: %+v", opts)
+		t.Fatalf("autoTune did not choose the adaptive one-pass cap: %+v", opts)
 	}
 	d, st := ComputeWithStats(gp, gt, opts)
 	if !st.Plan.ACAdaptive {

@@ -265,10 +265,10 @@ const (
 	acEscalateMeanDomain = 8.0
 )
 
-// AutoTune resolves the adaptive schedule: it inspects the target's
-// statistics (taken from opts.Index when one is attached, computed
-// directly otherwise), the pattern's shape, and the matching semantics,
-// and returns opts with the filter knobs filled in. Knobs the caller
+// autoTune resolves the adaptive schedule for Prepare: it inspects the
+// target's statistics (taken from opts.Index when one is attached,
+// computed directly otherwise), the pattern's shape, and the matching
+// semantics, and returns opts with the filter knobs filled in. Knobs the caller
 // already set explicitly are respected: a skipped filter stays skipped
 // (ablations compose with Auto), and a positive ACPasses cap is kept.
 //
@@ -291,7 +291,7 @@ const (
 //     on the pattern actually having non-edges): on sparse targets every
 //     candidate's non-adjacent support exists by pigeonhole and the
 //     sweep is wasted.
-func AutoTune(opts Options, gp, gt *graph.Graph) Options {
+func autoTune(opts Options, gp, gt *graph.Graph) Options {
 	var st TargetStats
 	if ix := opts.Index; ix != nil && ix.nt == gt.NumNodes() {
 		st = ix.stats

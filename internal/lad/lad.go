@@ -43,34 +43,17 @@ type Options struct {
 	// Ctx, when non-nil, cooperatively aborts the run soon after the
 	// context is cancelled (polled every cancelCheckMask+1 states).
 	Ctx context.Context
-	// Index, when non-nil and built for the same target, narrows the
-	// initial domain filter to label buckets and supplies precomputed
-	// NLF signatures (see domain.Index).
-	Index *domain.Index
-	// SkipNLF / SkipInducedAC disable the corresponding preprocessing
-	// filters (ablation and differential testing); see domain.Options.
-	SkipNLF       bool
-	SkipInducedAC bool
-	// ACPasses caps the arc-consistency sweeps of domain preprocessing
-	// (0 = fixpoint); see domain.Options.ACPasses.
-	ACPasses int
-	// Schedule selects the preprocessing filter plan: the zero value,
-	// domain.ScheduleAuto, adapts the filters to the target's statistics
-	// (see domain.AutoTune); domain.ScheduleFixed runs the full fixed
-	// pipeline. The resolved plan is reported in Result.PreprocStats.
-	Schedule domain.Schedule
-	// Kernel selects the candidate-intersection implementation of the
-	// per-state propagation: under the bitset kernel the neighborhood
-	// intersections and induced subtractions are word-parallel row ops
-	// on graph.BitGraph instead of per-neighbor bit edits. The zero
-	// value, domain.KernelAuto, picks by target size.
-	Kernel domain.Kernel
-	// Semantics selects the matching semantics (zero value: normalized
-	// to non-induced subgraph isomorphism). Under graph.Homomorphism
-	// the AllDifferent propagation is skipped (no injectivity); under
-	// graph.InducedIso the propagation additionally removes the images'
-	// neighborhoods from the domains of pattern non-neighbors.
-	Semantics graph.Semantics
+	// Domain is the preprocessing configuration domain.Prepare runs (the
+	// resolved plan is reported in Result.PreprocStats). Its Kernel also
+	// selects the per-state propagation: under the bitset kernel the
+	// neighborhood intersections and induced subtractions are
+	// word-parallel row ops on graph.BitGraph instead of per-neighbor
+	// bit edits. Its Semantics' zero value normalizes to non-induced
+	// subgraph isomorphism; under graph.Homomorphism the AllDifferent
+	// propagation is skipped (no injectivity), under graph.InducedIso
+	// the propagation additionally removes the images' neighborhoods
+	// from the domains of pattern non-neighbors.
+	Domain domain.Options
 }
 
 // Result reports an enumeration run.
@@ -132,21 +115,11 @@ type solver struct {
 func Enumerate(gp, gt *graph.Graph, opts Options) Result {
 	start := time.Now()
 	res := Result{}
-	opts.Semantics = opts.Semantics.Norm()
+	dopts := opts.Domain
+	dopts.Semantics = dopts.Semantics.Norm()
 
 	gp = gp.Simplify() // duplicate pattern edges would poison degree pruning
-	dopts := domain.Options{
-		Index:         opts.Index,
-		ACPasses:      opts.ACPasses,
-		SkipNLF:       opts.SkipNLF,
-		SkipInducedAC: opts.SkipInducedAC,
-		Kernel:        opts.Kernel,
-		Semantics:     opts.Semantics,
-	}
-	if opts.Schedule == domain.ScheduleAuto {
-		dopts = domain.AutoTune(dopts, gp, gt)
-	}
-	doms, dstats := domain.ComputeWithStats(gp, gt, dopts)
+	doms, dstats := domain.Prepare(gp, gt, dopts)
 	res.PreprocStats = &dstats
 	if doms.AnyEmpty() {
 		res.Unsatisfiable = true
@@ -163,7 +136,7 @@ func Enumerate(gp, gt *graph.Graph, opts Options) Result {
 	n := gp.NumNodes()
 	// Homomorphic images may coincide, so only injective semantics rule
 	// out patterns larger than the target.
-	if n == 0 || (opts.Semantics.Injective() && n > gt.NumNodes()) {
+	if n == 0 || (dopts.Semantics.Injective() && n > gt.NumNodes()) {
 		return res
 	}
 
@@ -176,8 +149,8 @@ func Enumerate(gp, gt *graph.Graph, opts Options) Result {
 		gt:        gt,
 		ord:       ord,
 		opts:      opts,
-		injective: opts.Semantics.Injective(),
-		induced:   opts.Semantics.Induced(),
+		injective: dopts.Semantics.Injective(),
+		induced:   dopts.Semantics.Induced(),
 		rows:      dstats.Rows,
 		scratch:   bitset.New(gt.NumNodes()),
 		domains:   make([][]*bitset.Set, n+1),
@@ -185,7 +158,7 @@ func Enumerate(gp, gt *graph.Graph, opts Options) Result {
 		nodeMap:   make([]int32, n),
 	}
 	if s.rows == nil {
-		s.rows = domain.RowsFor(opts.Kernel, opts.Index, gt)
+		s.rows = domain.RowsFor(dopts.Kernel, dopts.Index, gt)
 	}
 	if opts.Ctx != nil {
 		s.done = opts.Ctx.Done()

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"parsge/internal/domain"
 	"parsge/internal/graph"
 	"parsge/internal/ri"
 	"parsge/internal/testutil"
@@ -198,7 +199,7 @@ func TestSemanticsAgainstOracle(t *testing.T) {
 		})
 		for _, sem := range []graph.Semantics{graph.SubgraphIso, graph.InducedIso, graph.Homomorphism} {
 			want := testutil.BruteCountSem(gp, gt, sem)
-			res := Enumerate(gp, gt, Options{Semantics: sem})
+			res := Enumerate(gp, gt, Options{Domain: domain.Options{Semantics: sem}})
 			if res.Matches != want {
 				t.Errorf("seed %d under %v: LAD = %d, oracle = %d", seed, sem, res.Matches, want)
 			}
@@ -216,7 +217,7 @@ func TestInducedSelfLoopRejected(t *testing.T) {
 	bt.AddNodes(2)
 	bt.AddEdge(1, 1, 0)
 	gt := bt.MustBuild()
-	if res := Enumerate(gp, gt, Options{Semantics: graph.InducedIso}); res.Matches != 1 {
+	if res := Enumerate(gp, gt, Options{Domain: domain.Options{Semantics: graph.InducedIso}}); res.Matches != 1 {
 		t.Fatalf("induced single-node matches = %d, want 1 (only the loop-free node)", res.Matches)
 	}
 	if res := Enumerate(gp, gt, Options{}); res.Matches != 2 {

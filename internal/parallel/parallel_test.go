@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"parsge/internal/domain"
 	"parsge/internal/graph"
 	"parsge/internal/ri"
 	"parsge/internal/testutil"
@@ -428,7 +429,7 @@ func TestInducedParallel(t *testing.T) {
 	gp, gt := testutil.RandomInstance(23, testutil.InstanceOptions{
 		TargetNodes: 40, TargetEdges: 260, PatternNodes: 5, Extract: true,
 	})
-	p, err := ri.Prepare(gp, gt, ri.Options{Variant: ri.VariantRIDS, Semantics: graph.InducedIso})
+	p, err := ri.Prepare(gp, gt, ri.Options{Variant: ri.VariantRIDS, Domain: domain.Options{Semantics: graph.InducedIso}})
 	if err != nil {
 		t.Fatal(err)
 	}

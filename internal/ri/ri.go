@@ -70,47 +70,22 @@ func (v Variant) UsesDomains() bool { return v != VariantRI }
 // Options configures Prepare.
 type Options struct {
 	Variant Variant
-	// ACPasses bounds arc-consistency sweeps (0 = fixpoint); forwarded
-	// to domain.Compute for the DS variants.
-	ACPasses int
-	// SkipAC disables arc consistency (ablation only).
-	SkipAC bool
-	// SkipNLF disables the neighborhood-label-frequency domain filter
-	// (ablation and differential testing); see domain.Options.SkipNLF.
-	SkipNLF bool
-	// SkipInducedAC disables the induced non-edge domain propagation
-	// (ablation and differential testing); see
-	// domain.Options.SkipInducedAC.
-	SkipInducedAC bool
-	// Schedule selects the preprocessing filter plan for the DS
-	// variants: the zero value, domain.ScheduleAuto, adapts the filters
-	// to the target's statistics (see domain.AutoTune) while
-	// domain.ScheduleFixed runs the full fixed pipeline. Explicit
-	// ACPasses/Skip* knobs are respected under both. The chosen plan is
-	// recorded in Prepared.PreprocStats.
-	Schedule domain.Schedule
-	// Kernel selects the candidate-intersection implementation of the
-	// feasibility hot path (and of domain propagation): the zero value,
-	// domain.KernelAuto, picks bitset rows only for targets within
-	// graph.DenseRowLimit with 128·arcs ≥ nodes² (domain.ResolveKernel
-	// gives the measured reason); KernelBitset/KernelSlice force one side.
-	Kernel domain.Kernel
-	// Semantics selects the matching semantics; the zero value
-	// (graph.SemanticsUnset) normalizes to the paper's non-induced
-	// subgraph isomorphism (§2.1). InducedIso adds per-direction
-	// non-edge checks; Homomorphism drops injectivity (no used-set) and
-	// degree-based pruning. An extension beyond the paper.
-	Semantics graph.Semantics
+	// Domain is the preprocessing configuration: the filter knobs and
+	// Schedule domain.Prepare resolves for the DS variants (the chosen
+	// plan lands in Prepared.PreprocStats), the Kernel of the
+	// feasibility hot path, the matching Semantics of the search, and
+	// the target Index. Semantics' zero value normalizes to the paper's
+	// non-induced subgraph isomorphism (§2.1); InducedIso adds
+	// per-direction non-edge checks, Homomorphism drops injectivity (no
+	// used-set) and degree-based pruning. An Index built for the same
+	// target also lets plain RI draw root (and parentless-position)
+	// candidates from the root label's bucket instead of the whole
+	// vertex set; queries sharing one target build it once (see the
+	// parsge.Target session API).
+	Domain domain.Options
 	// OrderStrategy overrides the node-ordering ranking rule (ablation:
 	// order.DegreeOnly vs the default GreatestConstraintFirst).
 	OrderStrategy order.Strategy
-	// TargetIndex, when non-nil and built for the same target graph,
-	// supplies precomputed label→node buckets: domain computation scans
-	// only matching buckets, and the plain-RI variant draws root (and
-	// parentless-position) candidates from the root label's bucket
-	// instead of the whole vertex set. Queries sharing one target build
-	// it once (see the parsge.Target session API).
-	TargetIndex *domain.Index
 }
 
 // RunOptions configures a single search over a Prepared instance.
@@ -245,10 +220,11 @@ type Prepared struct {
 // forward checking (FC variant), static ordering, and back-edge tables.
 func Prepare(gp, gt *graph.Graph, opts Options) (*Prepared, error) {
 	start := time.Now()
-	if !opts.Semantics.Valid() {
-		return nil, fmt.Errorf("ri: unknown semantics %d", int32(opts.Semantics))
+	dopts := opts.Domain
+	if !dopts.Semantics.Valid() {
+		return nil, fmt.Errorf("ri: unknown semantics %d", int32(dopts.Semantics))
 	}
-	opts.Semantics = opts.Semantics.Norm()
+	dopts.Semantics = dopts.Semantics.Norm()
 	// Duplicate pattern edges add no constraint under any of the
 	// supported semantics but would poison the degree-based pruning
 	// bounds; see graph.Simplify.
@@ -257,30 +233,20 @@ func Prepare(gp, gt *graph.Graph, opts Options) (*Prepared, error) {
 		Pattern:   gp,
 		Target:    gt,
 		Variant:   opts.Variant,
-		Sem:       opts.Semantics,
-		injective: opts.Semantics.Injective(),
-		degPrune:  opts.Semantics.DegreePruning(),
+		Sem:       dopts.Semantics,
+		injective: dopts.Semantics.Injective(),
+		degPrune:  dopts.Semantics.DegreePruning(),
 	}
-	if ix := opts.TargetIndex; ix != nil && ix.NumNodes() == gt.NumNodes() {
+	if ix := dopts.Index; ix != nil && ix.NumNodes() == gt.NumNodes() {
 		p.Idx = ix
 	}
+	dopts.Index = p.Idx
 
 	if opts.Variant.UsesDomains() {
-		dopts := domain.Options{
-			ACPasses:      opts.ACPasses,
-			SkipAC:        opts.SkipAC,
-			SkipNLF:       opts.SkipNLF,
-			SkipInducedAC: opts.SkipInducedAC,
-			Index:         p.Idx,
-			Kernel:        opts.Kernel,
-			Semantics:     opts.Semantics,
-		}
-		if opts.Schedule == domain.ScheduleAuto {
-			dopts = domain.AutoTune(dopts, gp, gt)
-		}
 		var dstats domain.ComputeStats
-		p.Doms, dstats = domain.ComputeWithStats(gp, gt, dopts)
+		p.Doms, dstats = domain.Prepare(gp, gt, dopts)
 		p.PreprocStats = &dstats
+		p.rows = dstats.Rows
 		if p.Doms.AnyEmpty() {
 			p.Unsat = true
 		}
@@ -296,11 +262,8 @@ func Prepare(gp, gt *graph.Graph, opts Options) (*Prepared, error) {
 
 	// Reuse the rows domain propagation built; otherwise acquire them
 	// here, so plain RI and skip-AC ablations run the bitset path too.
-	if p.PreprocStats != nil {
-		p.rows = p.PreprocStats.Rows
-	}
 	if !p.Unsat && p.rows == nil {
-		p.rows = domain.RowsFor(opts.Kernel, p.Idx, gt)
+		p.rows = domain.RowsFor(dopts.Kernel, p.Idx, gt)
 	}
 
 	oopts := order.Options{Strategy: opts.OrderStrategy}
@@ -315,7 +278,7 @@ func Prepare(gp, gt *graph.Graph, opts Options) (*Prepared, error) {
 	p.Ord = ord
 	p.buildBackEdges()
 	p.bindBackEdgeRows()
-	if opts.Semantics.Induced() {
+	if p.Sem.Induced() {
 		p.buildInducedTables()
 	}
 	p.PreprocTime = time.Since(start)

@@ -278,7 +278,7 @@ func TestTargetIndexAgrees(t *testing.T) {
 		ix := domain.NewIndex(gt)
 		for _, v := range allVariants {
 			plain := mustEnumerate(t, gp, gt, v, RunOptions{})
-			res, err := Enumerate(gp, gt, Options{Variant: v, TargetIndex: ix}, RunOptions{})
+			res, err := Enumerate(gp, gt, Options{Variant: v, Domain: domain.Options{Index: ix}}, RunOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -569,7 +569,7 @@ func TestInducedTriangleVsPath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ind, err := Enumerate(gp, gt, Options{Variant: v, Semantics: graph.InducedIso}, RunOptions{})
+		ind, err := Enumerate(gp, gt, Options{Variant: v, Domain: domain.Options{Semantics: graph.InducedIso}}, RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -589,7 +589,7 @@ func TestInducedSelfLoopExcluded(t *testing.T) {
 	bt.AddNodes(2)
 	bt.AddEdge(1, 1, 0)
 	gt := bt.MustBuild()
-	res, err := Enumerate(gp, gt, Options{Variant: VariantRI, Semantics: graph.InducedIso}, RunOptions{})
+	res, err := Enumerate(gp, gt, Options{Variant: VariantRI, Domain: domain.Options{Semantics: graph.InducedIso}}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -610,7 +610,7 @@ func TestQuickInducedAgreesWithBruteForce(t *testing.T) {
 		})
 		want := testutil.BruteCountInduced(gp, gt)
 		for _, v := range allVariants {
-			res, err := Enumerate(gp, gt, Options{Variant: v, Semantics: graph.InducedIso}, RunOptions{})
+			res, err := Enumerate(gp, gt, Options{Variant: v, Domain: domain.Options{Semantics: graph.InducedIso}}, RunOptions{})
 			if err != nil || res.Matches != want {
 				t.Logf("seed=%d nasty=%v variant=%v got=%d want=%d", seed, nasty, v, res.Matches, want)
 				return false
@@ -629,7 +629,7 @@ func TestQuickInducedSubset(t *testing.T) {
 		gp, gt := testutil.RandomInstance(seed, testutil.InstanceOptions{
 			TargetNodes: 12, TargetEdges: 40, PatternNodes: 4, Extract: true,
 		})
-		ind, err1 := Enumerate(gp, gt, Options{Variant: VariantRIDS, Semantics: graph.InducedIso}, RunOptions{})
+		ind, err1 := Enumerate(gp, gt, Options{Variant: VariantRIDS, Domain: domain.Options{Semantics: graph.InducedIso}}, RunOptions{})
 		non, err2 := Enumerate(gp, gt, Options{Variant: VariantRIDS}, RunOptions{})
 		return err1 == nil && err2 == nil && ind.Matches <= non.Matches
 	}
@@ -689,7 +689,7 @@ func TestQuickHomomorphismAgreesWithBruteForce(t *testing.T) {
 		})
 		want := testutil.BruteCountSem(gp, gt, graph.Homomorphism)
 		for _, v := range allVariants {
-			res, err := Enumerate(gp, gt, Options{Variant: v, Semantics: graph.Homomorphism}, RunOptions{})
+			res, err := Enumerate(gp, gt, Options{Variant: v, Domain: domain.Options{Semantics: graph.Homomorphism}}, RunOptions{})
 			if err != nil || res.Matches != want {
 				t.Logf("seed=%d nasty=%v variant=%v got=%d want=%d", seed, nasty, v, res.Matches, want)
 				return false
@@ -722,11 +722,11 @@ func TestHomomorphismSharedImage(t *testing.T) {
 		}
 		return b.MustBuild()
 	}
-	res, err := Enumerate(cycle(3), edge(), Options{Semantics: graph.Homomorphism}, RunOptions{})
+	res, err := Enumerate(cycle(3), edge(), Options{Domain: domain.Options{Semantics: graph.Homomorphism}}, RunOptions{})
 	if err != nil || res.Matches != 0 {
 		t.Fatalf("C3 -> K2 homs = %d, %v; want 0 (odd cycle)", res.Matches, err)
 	}
-	res, err = Enumerate(cycle(4), edge(), Options{Semantics: graph.Homomorphism}, RunOptions{})
+	res, err = Enumerate(cycle(4), edge(), Options{Domain: domain.Options{Semantics: graph.Homomorphism}}, RunOptions{})
 	if err != nil || res.Matches != 2 {
 		t.Fatalf("C4 -> K2 homs = %d, %v; want 2 (proper 2-colorings)", res.Matches, err)
 	}

@@ -303,26 +303,13 @@ func (s *Service) estimate(ctx context.Context, q Query, key string) (parsge.Cos
 
 // classifyQuery is the admission front half: it resolves the query's
 // class and pins the epoch the decision was made at. A Classify
-// override and the DisableCostModel static fallback short-circuit the
-// cost model entirely (override=true keeps them out of the feedback
-// loop).
+// override short-circuits the cost model entirely (override=true keeps
+// it out of the feedback loop).
 func (s *Service) classifyQuery(ctx context.Context, q Query, key string) (admitRecord, error) {
-	wantsParallel := q.Options.Workers > 1 || q.Options.Workers == parsge.AutoWorkers
 	if s.cfg.Classify != nil {
 		_, epoch := s.tgt.MeanDegreeAt()
 		cls := ClassSmall
 		if s.cfg.Classify(q.Pattern, q.Options) {
-			cls = ClassLarge
-		}
-		return admitRecord{class: cls, epoch: epoch, override: true}, nil
-	}
-	if s.cfg.DisableCostModel {
-		// The pre-cost-model static heuristic, with the degree read
-		// pinned to one snapshot epoch.
-		deg, epoch := s.tgt.MeanDegreeAt()
-		np := q.Pattern.NumNodes()
-		cls := ClassSmall
-		if wantsParallel || np >= 6 || (np >= 4 && deg >= 8) {
 			cls = ClassLarge
 		}
 		return admitRecord{class: cls, epoch: epoch, override: true}, nil
@@ -332,6 +319,7 @@ func (s *Service) classifyQuery(ctx context.Context, q Query, key string) (admit
 		return admitRecord{}, err
 	}
 	cls, pred := s.classifyEstimate(est)
+	wantsParallel := q.Options.Workers > 1 || q.Options.Workers == parsge.AutoWorkers
 	if cls == ClassSmall && wantsParallel {
 		// The client asked for parallelism and the model has no reason
 		// to shed: honor the request (compatibility with the static

@@ -57,15 +57,14 @@ type RouterConfig struct {
 	// MaxTimeout clamps every query and census timeout to the server
 	// budget (0 = no clamp); see Config.MaxTimeout.
 	MaxTimeout time.Duration
-	// SmallBudget, ExplosiveBudget, SmallLogDomain, ExplosiveLogDomain,
-	// ExplosivePolicy and DisableCostModel configure each target's
+	// SmallBudget, ExplosiveBudget, SmallLogDomain, ExplosiveLogDomain
+	// and ExplosivePolicy configure each target's
 	// cost-model admission (per-target estimators over the shared
 	// budget); see the Config fields of the same names.
 	SmallBudget                        time.Duration
 	ExplosiveBudget                    time.Duration
 	SmallLogDomain, ExplosiveLogDomain float64
 	ExplosivePolicy                    ExplosivePolicy
-	DisableCostModel                   bool
 	// MaxHotIndexes bounds how many targets may hold their label/NLF
 	// index at once; beyond it the least-recently-used target's index
 	// is released and rebuilt on demand. 0 means unbounded (no
@@ -91,7 +90,6 @@ func (c RouterConfig) svcConfig(tgt *parsge.Target) Config {
 		SmallLogDomain:           c.SmallLogDomain,
 		ExplosiveLogDomain:       c.ExplosiveLogDomain,
 		ExplosivePolicy:          c.ExplosivePolicy,
-		DisableCostModel:         c.DisableCostModel,
 		Classify:                 c.Classify,
 	}.withDefaults()
 }

@@ -86,10 +86,6 @@ type Config struct {
 	// ExplosivePolicy selects shed (default) or deprioritize for
 	// explosive-classified queries.
 	ExplosivePolicy ExplosivePolicy
-	// DisableCostModel reverts classification to the pre-cost-model
-	// static heuristic (pattern size × mean degree, epoch-pinned). The
-	// ablation baseline; also the escape hatch if the model misbehaves.
-	DisableCostModel bool
 	// Classify overrides classification entirely: return true to give
 	// the query the parallel pool, false to run it sequentially. No
 	// query is shed and the cost model is bypassed — the full-override

@@ -41,36 +41,19 @@ type Options struct {
 	// Ctx, when non-nil, cooperatively aborts the search soon after the
 	// context is cancelled (polled every cancelCheckMask+1 states).
 	Ctx context.Context
-	// Index, when non-nil and built for the same target, speeds up the
-	// domain preprocessing (label buckets + precomputed NLF signatures).
-	Index *domain.Index
 	// SkipDomains disables domain preprocessing entirely, restoring the
 	// classic VF2 baseline (label + degree + edge checks only). Used by
 	// comparison benchmarks and differential tests.
 	SkipDomains bool
-	// SkipNLF / SkipInducedAC disable individual domain filters
-	// (ablation and differential testing); see domain.Options.
-	SkipNLF       bool
-	SkipInducedAC bool
-	// ACPasses caps the arc-consistency sweeps of domain preprocessing
-	// (0 = fixpoint); see domain.Options.ACPasses.
-	ACPasses int
-	// Schedule selects the preprocessing filter plan: the zero value,
-	// domain.ScheduleAuto, adapts the filters to the target's statistics
-	// (see domain.AutoTune); domain.ScheduleFixed runs the full fixed
-	// pipeline. The resolved plan is reported in Result.PreprocStats.
-	Schedule domain.Schedule
-	// Kernel selects the candidate-pool filtering implementation: under
-	// the bitset kernel the per-candidate edge and induced non-edge
-	// checks are bit tests on graph.BitGraph adjacency rows instead of
-	// CSR binary searches. The zero value, domain.KernelAuto, picks by
-	// target size.
-	Kernel domain.Kernel
-	// Semantics selects the matching semantics (zero value: normalized
-	// to non-induced subgraph isomorphism, identical to internal/ri's
-	// default, so the engines stay interchangeable oracles across all
-	// semantics).
-	Semantics graph.Semantics
+	// Domain is the preprocessing configuration domain.Prepare runs (the
+	// resolved plan is reported in Result.PreprocStats). Its Kernel also
+	// selects the candidate-pool filtering: under the bitset kernel the
+	// per-candidate edge and induced non-edge checks are bit tests on
+	// graph.BitGraph rows instead of CSR binary searches. Its Semantics'
+	// zero value normalizes to non-induced subgraph isomorphism,
+	// identical to internal/ri's default, so the engines stay
+	// interchangeable oracles across all semantics.
+	Domain domain.Options
 }
 
 // Result reports an enumeration run.
@@ -116,7 +99,8 @@ type state struct {
 // configured semantics (non-induced subgraph isomorphism by default).
 func Enumerate(gp, gt *graph.Graph, opts Options) Result {
 	start := time.Now()
-	opts.Semantics = opts.Semantics.Norm()
+	dopts := opts.Domain
+	dopts.Semantics = dopts.Semantics.Norm()
 	gp = gp.Simplify() // duplicate pattern edges would poison degree pruning
 	s := &state{
 		gp:        gp,
@@ -124,25 +108,14 @@ func Enumerate(gp, gt *graph.Graph, opts Options) Result {
 		opts:      opts,
 		core:      make([]int32, gp.NumNodes()),
 		used:      make([]bool, gt.NumNodes()),
-		injective: opts.Semantics.Injective(),
-		induced:   opts.Semantics.Induced(),
-		degPrune:  opts.Semantics.DegreePruning(),
+		injective: dopts.Semantics.Injective(),
+		induced:   dopts.Semantics.Induced(),
+		degPrune:  dopts.Semantics.DegreePruning(),
 	}
 	res := Result{}
 	if !opts.SkipDomains {
-		dopts := domain.Options{
-			Index:         opts.Index,
-			ACPasses:      opts.ACPasses,
-			SkipNLF:       opts.SkipNLF,
-			SkipInducedAC: opts.SkipInducedAC,
-			Kernel:        opts.Kernel,
-			Semantics:     opts.Semantics,
-		}
-		if opts.Schedule == domain.ScheduleAuto {
-			dopts = domain.AutoTune(dopts, gp, gt)
-		}
 		var dstats domain.ComputeStats
-		s.doms, dstats = domain.ComputeWithStats(gp, gt, dopts)
+		s.doms, dstats = domain.Prepare(gp, gt, dopts)
 		s.rows = dstats.Rows
 		res.PreprocStats = &dstats
 		res.PreprocTime = time.Since(start)
@@ -152,7 +125,7 @@ func Enumerate(gp, gt *graph.Graph, opts Options) Result {
 		}
 	}
 	if s.rows == nil {
-		s.rows = domain.RowsFor(opts.Kernel, opts.Index, gt)
+		s.rows = domain.RowsFor(dopts.Kernel, dopts.Index, gt)
 	}
 	for i := range s.core {
 		s.core[i] = -1

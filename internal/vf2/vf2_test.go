@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"parsge/internal/domain"
 	"parsge/internal/graph"
 	"parsge/internal/ri"
 	"parsge/internal/testutil"
@@ -171,7 +172,7 @@ func TestSemanticsAgainstOracle(t *testing.T) {
 		})
 		for _, sem := range []graph.Semantics{graph.SubgraphIso, graph.InducedIso, graph.Homomorphism} {
 			want := testutil.BruteCountSem(gp, gt, sem)
-			res := Enumerate(gp, gt, Options{Semantics: sem})
+			res := Enumerate(gp, gt, Options{Domain: domain.Options{Semantics: sem}})
 			if res.Matches != want {
 				t.Errorf("seed %d under %v: VF2 = %d, oracle = %d", seed, sem, res.Matches, want)
 			}
@@ -194,7 +195,7 @@ func TestHomomorphismFoldsPath(t *testing.T) {
 	bt.AddEdge(0, 1, 0)
 	bt.AddEdge(1, 0, 0)
 	gt := bt.MustBuild()
-	if res := Enumerate(gp, gt, Options{Semantics: graph.Homomorphism}); res.Matches != 2 {
+	if res := Enumerate(gp, gt, Options{Domain: domain.Options{Semantics: graph.Homomorphism}}); res.Matches != 2 {
 		t.Fatalf("P3 -> K2 homs = %d, want 2", res.Matches)
 	}
 	if res := Enumerate(gp, gt, Options{}); res.Matches != 0 {
@@ -214,8 +215,8 @@ func TestDomainsMatchBaseline(t *testing.T) {
 			TargetNodes: 10, TargetEdges: 30, PatternNodes: 4, Extract: seed%2 == 0, Nasty: seed%3 == 0,
 		})
 		for _, sem := range sems {
-			pruned := Enumerate(gp, gt, Options{Semantics: sem})
-			base := Enumerate(gp, gt, Options{Semantics: sem, SkipDomains: true})
+			pruned := Enumerate(gp, gt, Options{Domain: domain.Options{Semantics: sem}})
+			base := Enumerate(gp, gt, Options{SkipDomains: true, Domain: domain.Options{Semantics: sem}})
 			if pruned.Matches != base.Matches {
 				t.Fatalf("seed %d %v: pruned=%d baseline=%d matches", seed, sem, pruned.Matches, base.Matches)
 			}

@@ -112,9 +112,8 @@ func TestKernelDifferentialGoldenMotifs(t *testing.T) {
 func TestKernelDifferentialAllocs(t *testing.T) {
 	gp, gt := cliqueGraph(3), cliqueGraph(12) // 12·11·10 = 1320 embeddings
 	prep, err := ri.Prepare(gp, gt, ri.Options{
-		Variant:  ri.VariantRIDSSIFC,
-		Kernel:   domain.KernelBitset,
-		Schedule: domain.ScheduleFixed,
+		Variant: ri.VariantRIDSSIFC,
+		Domain:  domain.Options{Kernel: domain.KernelBitset, Schedule: domain.ScheduleFixed},
 	})
 	if err != nil {
 		t.Fatal(err)

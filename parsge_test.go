@@ -383,7 +383,7 @@ func TestInducedFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ind, err := Count(gp, gt, Options{Induced: true, Workers: 4})
+	ind, err := Count(gp, gt, Options{Semantics: InducedIso, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,28 +391,15 @@ func TestInducedFacade(t *testing.T) {
 		t.Fatalf("grid 4-cycles: induced %d != non-induced %d", ind, non)
 	}
 	// ...and VF2/LAD now support every semantics, so they must agree.
-	if got, err := Count(gp, gt, Options{Algorithm: VF2, Induced: true}); err != nil || got != ind {
+	if got, err := Count(gp, gt, Options{Algorithm: VF2, Semantics: InducedIso}); err != nil || got != ind {
 		t.Errorf("VF2 induced = %d, %v; want %d", got, err, ind)
 	}
-	if got, err := Count(gp, gt, Options{Algorithm: LAD, Induced: true}); err != nil || got != ind {
+	if got, err := Count(gp, gt, Options{Algorithm: LAD, Semantics: InducedIso}); err != nil || got != ind {
 		t.Errorf("LAD induced = %d, %v; want %d", got, err, ind)
 	}
-	// The legacy flag and the Semantics axis spell the same thing; a
-	// contradictory combination is rejected.
+	// The sequential engine agrees with the parallel one.
 	if got, err := Count(gp, gt, Options{Semantics: InducedIso}); err != nil || got != ind {
 		t.Errorf("Semantics: InducedIso = %d, %v; want %d", got, err, ind)
-	}
-	if _, err := Count(gp, gt, Options{Semantics: Homomorphism, Induced: true}); err == nil {
-		t.Error("Induced + Homomorphism accepted")
-	}
-	// Post-sentinel, SubgraphIso is an explicit choice too, so the
-	// legacy flag contradicts it instead of silently winning.
-	if _, err := Count(gp, gt, Options{Semantics: SubgraphIso, Induced: true}); err == nil {
-		t.Error("Induced + explicit SubgraphIso accepted")
-	}
-	// The redundant spelling stays valid.
-	if got, err := Count(gp, gt, Options{Semantics: InducedIso, Induced: true}); err != nil || got != ind {
-		t.Errorf("Semantics: InducedIso + Induced = %d, %v; want %d", got, err, ind)
 	}
 	if _, err := Count(gp, gt, Options{Semantics: Semantics(42)}); err == nil {
 		t.Error("unknown Semantics accepted")

@@ -318,9 +318,6 @@ func TestTargetDefaultSemantics(t *testing.T) {
 	if n, err := tgt.Count(ctx, gp, Options{Semantics: InducedIso}); err != nil || n != 0 {
 		t.Errorf("explicit InducedIso overrides default: got %d, %v; want 0", n, err)
 	}
-	if n, err := tgt.Count(ctx, gp, Options{Induced: true}); err != nil || n != 0 {
-		t.Errorf("Induced overrides default: got %d, %v; want 0", n, err)
-	}
 	if _, err := NewTarget(gt, TargetOptions{DefaultSemantics: Semantics(9)}); err == nil {
 		t.Error("invalid DefaultSemantics accepted")
 	}
@@ -389,16 +386,6 @@ func TestEnumerateBatchItemsMixedSemantics(t *testing.T) {
 				t.Errorf("workers=%d item %d: got %d matches, want %d", workers, i, r.Matches, want[i])
 			}
 		}
-	}
-	// A per-item choice also wins over the legacy Induced flag.
-	res, err := tgt.EnumerateBatchItems(context.Background(),
-		[]BatchItem{{Pattern: gp, Semantics: Homomorphism}, {Pattern: gp}},
-		Options{Induced: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res[0].Matches != 12 || res[1].Matches != 0 {
-		t.Errorf("Induced batch with hom item: got %d/%d, want 12/0", res[0].Matches, res[1].Matches)
 	}
 }
 

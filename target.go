@@ -46,10 +46,9 @@ type TargetOptions struct {
 	// never substituted.
 	DefaultWorkers int
 	// DefaultSemantics replaces Options.Semantics for queries that
-	// leave it at SemanticsUnset (and don't set the legacy Induced
-	// flag): a service can fix the matching semantics once per target.
-	// The zero value (SemanticsUnset) keeps the library default
-	// (SubgraphIso).
+	// leave it at SemanticsUnset: a service can fix the matching
+	// semantics once per target. The zero value (SemanticsUnset) keeps
+	// the library default (SubgraphIso).
 	//
 	// Because SemanticsUnset and SubgraphIso are distinct values, an
 	// explicit Options{Semantics: SubgraphIso} always overrides this
@@ -164,17 +163,16 @@ func (t *Target) Graph() *Graph { return t.state.Load().g }
 func (t *Target) MeanDegree() float64 { return t.state.Load().meanDegree }
 
 // ResolveSemantics reports the effective matching semantics a query with
-// these options runs under on this Target: the legacy Induced flag is
-// folded first (an explicit choice, contradictions are errors), then the
-// session's DefaultSemantics stands in for a query that chose nothing,
-// and finally the library default (SubgraphIso) applies. The service
-// layer keys its result cache by this resolved value, so an unset-
-// semantics query and an explicit query of the same effective semantics
-// share one cache entry.
+// these options runs under on this Target: the query's explicit choice,
+// else the session's DefaultSemantics, else the library default
+// (SubgraphIso). An unknown value is an error. The service layer keys
+// its result cache by this resolved value, so an unset-semantics query
+// and an explicit query of the same effective semantics share one cache
+// entry.
 func (t *Target) ResolveSemantics(opts Options) (Semantics, error) {
-	sem, err := resolveSemantics(opts)
-	if err != nil {
-		return 0, err
+	sem := opts.Semantics
+	if !sem.Valid() {
+		return 0, fmt.Errorf("parsge: unknown semantics %d", int32(sem))
 	}
 	if sem == SemanticsUnset {
 		sem = t.defaultSemantics
@@ -231,6 +229,46 @@ func (t *Target) enumerateQuery(ctx context.Context, pattern *Graph, opts Option
 	return res, err
 }
 
+// resolveQuery resolves what a query with these options runs on
+// snapshot st: the algorithm (Auto mapped to the snapshot's choice) and
+// the domain preprocessing configuration — the snapshot's index, the
+// resolved semantics and Options.Pruning. The engines and EstimateCost
+// both take it from here, so an estimate prices exactly the plan the
+// run records.
+func (t *Target) resolveQuery(st *targetState, opts Options) (Algorithm, domain.Options, error) {
+	alg := st.resolveAlgorithm(opts.Algorithm)
+	if (alg < RI || alg > RIDSSIFC) && alg != VF2 && alg != LAD {
+		return 0, domain.Options{}, fmt.Errorf("parsge: unknown algorithm %d", int(alg))
+	}
+	sem, err := t.ResolveSemantics(opts)
+	if err != nil {
+		return 0, domain.Options{}, err
+	}
+	return alg, domain.Options{
+		Schedule:      opts.Pruning.Schedule,
+		ACPasses:      opts.Pruning.ACPasses,
+		SkipNLF:       opts.Pruning.DisableNLF,
+		SkipInducedAC: opts.Pruning.DisableInducedAC,
+		Index:         st.index,
+		Kernel:        opts.Pruning.Kernel,
+		Semantics:     sem,
+	}, nil
+}
+
+// engineResult converts the outcome every engine reports alike into a
+// Result; engine-specific breakdowns are filled in by the caller.
+func engineResult(matches, states int64, preproc, match time.Duration, aborted, unsat bool, plan *domain.ComputeStats) Result {
+	return Result{
+		Matches:       matches,
+		States:        states,
+		PreprocTime:   preproc,
+		MatchTime:     match,
+		TimedOut:      aborted,
+		Unsatisfiable: unsat,
+		Plan:          planInfo(plan),
+	}
+}
+
 // enumerateOn dispatches one query to the engine the options select,
 // running entirely against the given snapshot.
 func (t *Target) enumerateOn(st *targetState, ctx context.Context, pattern *Graph, opts Options) (Result, error) {
@@ -238,102 +276,43 @@ func (t *Target) enumerateOn(st *targetState, ctx context.Context, pattern *Grap
 		return Result{}, fmt.Errorf("parsge: nil pattern graph")
 	}
 	// Check before preprocessing, not just in the search loops:
-	// ri.Prepare's domain computation is O(pattern × target) and a
-	// cancelled batch draining its queue must not pay it per pattern.
+	// domain preprocessing is O(pattern × target) and a cancelled
+	// batch draining its queue must not pay it per pattern.
 	if ctx.Err() != nil {
 		return Result{TimedOut: true}, nil
 	}
-	opts.Algorithm = st.resolveAlgorithm(opts.Algorithm)
-	if opts.Workers == 0 {
-		opts.Workers = t.defaultWorkers
-	}
-	sem, err := t.ResolveSemantics(opts)
+	alg, dopts, err := t.resolveQuery(st, opts)
 	if err != nil {
 		return Result{}, err
 	}
-	if opts.Algorithm == VF2 || opts.Algorithm == LAD {
-		if opts.Algorithm == VF2 {
-			res := vf2.Enumerate(pattern, st.g, vf2.Options{
-				Limit:         opts.Limit,
-				Visit:         opts.Visit,
-				Ctx:           ctx,
-				Index:         st.index,
-				SkipNLF:       opts.Pruning.DisableNLF,
-				SkipInducedAC: opts.Pruning.DisableInducedAC,
-				ACPasses:      opts.Pruning.ACPasses,
-				Schedule:      opts.Pruning.Schedule,
-				Kernel:        opts.Pruning.Kernel,
-				Semantics:     sem,
-			})
-			return Result{
-				Matches:       res.Matches,
-				States:        res.States,
-				PreprocTime:   res.PreprocTime,
-				MatchTime:     res.MatchTime,
-				TimedOut:      res.Aborted,
-				Unsatisfiable: res.Unsatisfiable,
-				Plan:          planInfo(res.PreprocStats),
-			}, nil
-		}
-		res := lad.Enumerate(pattern, st.g, lad.Options{
-			Limit:         opts.Limit,
-			Visit:         opts.Visit,
-			Ctx:           ctx,
-			Index:         st.index,
-			SkipNLF:       opts.Pruning.DisableNLF,
-			SkipInducedAC: opts.Pruning.DisableInducedAC,
-			ACPasses:      opts.Pruning.ACPasses,
-			Schedule:      opts.Pruning.Schedule,
-			Kernel:        opts.Pruning.Kernel,
-			Semantics:     sem,
-		})
-		return Result{
-			Matches:       res.Matches,
-			States:        res.States,
-			PreprocTime:   res.PreprocTime,
-			MatchTime:     res.MatchTime,
-			TimedOut:      res.Aborted,
-			Unsatisfiable: res.Unsatisfiable,
-			Plan:          planInfo(res.PreprocStats),
-		}, nil
-	}
-	if opts.Algorithm < RI || opts.Algorithm > RIDSSIFC {
-		return Result{}, fmt.Errorf("parsge: unknown algorithm %d", int(opts.Algorithm))
+	switch alg {
+	case VF2:
+		r := vf2.Enumerate(pattern, st.g, vf2.Options{Limit: opts.Limit, Visit: opts.Visit, Ctx: ctx, Domain: dopts})
+		return engineResult(r.Matches, r.States, r.PreprocTime, r.MatchTime, r.Aborted, r.Unsatisfiable, r.PreprocStats), nil
+	case LAD:
+		r := lad.Enumerate(pattern, st.g, lad.Options{Limit: opts.Limit, Visit: opts.Visit, Ctx: ctx, Domain: dopts})
+		return engineResult(r.Matches, r.States, r.PreprocTime, r.MatchTime, r.Aborted, r.Unsatisfiable, r.PreprocStats), nil
 	}
 
-	prep, err := ri.Prepare(pattern, st.g, ri.Options{
-		Variant:       ri.Variant(opts.Algorithm),
-		Semantics:     sem,
-		SkipNLF:       opts.Pruning.DisableNLF,
-		SkipInducedAC: opts.Pruning.DisableInducedAC,
-		ACPasses:      opts.Pruning.ACPasses,
-		Schedule:      opts.Pruning.Schedule,
-		Kernel:        opts.Pruning.Kernel,
-		TargetIndex:   st.index,
-	})
+	prep, err := ri.Prepare(pattern, st.g, ri.Options{Variant: ri.Variant(alg), Domain: dopts})
 	if err != nil {
 		return Result{}, err
 	}
-	if opts.Workers == AutoWorkers {
-		opts.Workers = autoWorkerCount(prep)
+	workers := opts.Workers
+	if workers == 0 {
+		workers = t.defaultWorkers
 	}
-
-	if opts.Workers <= 1 {
-		res := prep.Run(ri.RunOptions{Limit: opts.Limit, Visit: opts.Visit, Ctx: ctx, Arena: t.arena})
-		return Result{
-			Matches:       res.Matches,
-			States:        res.States,
-			PreprocTime:   res.PreprocTime,
-			MatchTime:     res.MatchTime,
-			TimedOut:      res.Aborted,
-			Unsatisfiable: res.Unsatisfiable,
-			DepthStates:   res.DepthStates,
-			Plan:          planInfo(prep.PreprocStats),
-		}, nil
+	if workers == AutoWorkers {
+		workers = autoWorkerCount(prep)
 	}
-
-	res := parallel.Enumerate(prep, parallel.Options{
-		Workers:         opts.Workers,
+	if workers <= 1 {
+		r := prep.Run(ri.RunOptions{Limit: opts.Limit, Visit: opts.Visit, Ctx: ctx, Arena: t.arena})
+		res := engineResult(r.Matches, r.States, r.PreprocTime, r.MatchTime, r.Aborted, r.Unsatisfiable, prep.PreprocStats)
+		res.DepthStates = r.DepthStates
+		return res, nil
+	}
+	r := parallel.Enumerate(prep, parallel.Options{
+		Workers:         workers,
 		TaskGroupSize:   opts.TaskGroupSize,
 		DisableStealing: opts.DisableStealing,
 		Limit:           opts.Limit,
@@ -342,18 +321,9 @@ func (t *Target) enumerateOn(st *targetState, ctx context.Context, pattern *Grap
 		Arena:           t.arena,
 		Seed:            opts.Seed,
 	})
-	return Result{
-		Matches:         res.Matches,
-		States:          res.States,
-		PreprocTime:     res.PreprocTime,
-		MatchTime:       res.MatchTime,
-		TimedOut:        res.Aborted,
-		Unsatisfiable:   res.Unsatisfiable,
-		Steals:          res.Steals,
-		PerWorkerStates: res.PerWorkerStates,
-		DepthStates:     res.DepthStates,
-		Plan:            planInfo(prep.PreprocStats),
-	}, nil
+	res := engineResult(r.Matches, r.States, r.PreprocTime, r.MatchTime, r.Aborted, r.Unsatisfiable, prep.PreprocStats)
+	res.Steals, res.PerWorkerStates, res.DepthStates = r.Steals, r.PerWorkerStates, r.DepthStates
+	return res, nil
 }
 
 // Count is shorthand for Enumerate(...).Matches.
@@ -387,11 +357,10 @@ type BatchItem struct {
 	// Pattern is the query graph.
 	Pattern *Graph
 	// Semantics, when not SemanticsUnset, selects this pattern's
-	// matching semantics, overriding the batch Options (the Semantics
-	// field and the legacy Induced flag alike) — so one batch, served
-	// by one shared worker pool, can mix subgraph-iso, induced and
-	// homomorphism queries. SemanticsUnset falls back to the batch
-	// Options, then to the Target's DefaultSemantics.
+	// matching semantics, overriding the batch Options.Semantics — so
+	// one batch, served by one shared worker pool, can mix subgraph-iso,
+	// induced and homomorphism queries. SemanticsUnset falls back to
+	// the batch Options, then to the Target's DefaultSemantics.
 	Semantics Semantics
 }
 
@@ -415,7 +384,6 @@ func (b *batchRunner) optsFor(i int) Options {
 	o := b.opts
 	if s := b.items[i].Semantics; s != SemanticsUnset {
 		o.Semantics = s
-		o.Induced = false // the explicit per-item choice wins
 	}
 	return o
 }
